@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke for Planner v2: predict-mode serving plus a mid-run re-plan.
+"""CI smoke for the auto planner: a persisted plan serves shifted traffic.
 
 Usage::
 
@@ -7,44 +7,46 @@ Usage::
 
 One scenario, exit 0 only if every check holds:
 
-1. **Organic calibration** — an auto engine races a small two-conv SNN
-   across several timestep keys; the cost model must become
-   ``plan_ready`` purely from those measured races (no synthetic
-   observations).
-2. **Predict-mode serving** — the engine is handed to a live server;
-   the serve-shaped key is cold, so its first plan must come from the
-   cost model (``plan_source == "cost-model"``) and ``/metrics`` must
-   expose the planner section with fit residuals.
-3. **Mid-run re-plan under drift** — the client's traffic shifts
-   amplitude, moving downstream spike densities far past the drift
-   threshold while the plan key stays the same.  The worker must
-   re-plan *inside* a run (``replans_seen`` in ``/metrics``), keep
-   every response a 200 (no 5xx, no hang), keep ``/readyz`` green
-   throughout, and the re-planned run's logits must be bit-identical
-   to a frozen-plan control run — the re-plan is allowed to change
-   wall clock, never arithmetic.
+1. **Calibrate once** — an ``AutoEngine(plan_path=...)`` runs the demo
+   network, built exactly as ``repro.cli serve`` builds it, on one
+   batch-1 frame: the one race of that plan key writes the plan file.
+2. **Serve from the file** — ``python -m repro.cli serve --plan-path``
+   on that file starts as a real process and receives amplitude-shifted
+   frames (x0.125 to x8), which move every downstream spike density
+   while the plan key stays the same.  Throughout, ``/metrics`` must
+   report ``planner.calibration_runs == 0`` (the server replays the
+   persisted plan and never races), every response must be a 200, and
+   every served logit vector must be bitwise equal to a direct
+   ``batched`` per-step run of the same frame.
+3. **Drain** — SIGTERM must drain the server and exit 0.
 
-Standalone on purpose (plain script, not pytest): CI runs it as its
-own job so a planner regression is visible as a named failing step.
+The plan file lives in a fresh temporary directory.  Standalone on
+purpose (plain script, not pytest): CI runs it as its own job so a
+planner regression is visible as a named failing step.
 """
 
+import json
+import os
+import signal
+import socket
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro import nn  # noqa: E402
-from repro.serve import ServeConfig, ServerHandle  # noqa: E402
-from repro.snn import SpikingNetwork, convert_to_snn  # noqa: E402
-from repro.snn.engines import AutoEngine, ExecutionPlan  # noqa: E402
-from repro.tensor import Tensor, no_grad  # noqa: E402
+from repro.serve import build_demo_network  # noqa: E402
+from repro.snn import SpikingNetwork  # noqa: E402
+from repro.snn.engines import AutoEngine  # noqa: E402
 
-SHAPE = (2, 12, 12)
-SERVE_TIMESTEPS = 6
-DRIFT_THRESHOLD = 0.3
-DRIFT_SCALE = 2.5  # amplitude swing that moves spike densities ~33%
+SHAPE = (2, 8, 8)
+TIMESTEPS = 6
+SCALES = (0.125, 0.5, 1.0, 2.0, 8.0)
 
 
 def check(condition, message):
@@ -54,133 +56,117 @@ def check(condition, message):
     print(f"  ok: {message}")
 
 
-def build_model(shape=SHAPE, classes=4, seed=0):
-    """A two-conv SNN whose second conv is spike-fed (raceable).
+def http(port, method, path, payload=None, timeout=30.0):
+    """One request on a fresh connection; returns (status, JSON body)."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as conn:
+        conn.sendall(head + body)
+        raw = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    header, _, content = raw.partition(b"\r\n\r\n")
+    return int(header.split(b" ", 2)[1]), json.loads(content or b"null")
 
-    The demo network's only conv sees the constant input frame, which
-    never races the sparse kernels — so the cost model would starve.
-    Conv2 here is fed by conv1's spike train, making every calibration
-    contribute real (backend, ops, ms) observations.
-    """
-    c, h, w = shape
-    rng = np.random.default_rng(seed)
-    model = nn.Sequential(
-        nn.Conv2d(c, 8, 3, padding=1, rng=np.random.default_rng(seed + 1)),
-        nn.BatchNorm2d(8),
-        nn.QuantReLU(levels=4, init_step=1.0),
-        nn.Conv2d(8, 8, 3, padding=1, rng=np.random.default_rng(seed + 2)),
-        nn.BatchNorm2d(8),
-        nn.QuantReLU(levels=4, init_step=1.0),
-        nn.AvgPool2d(2),
-        nn.Flatten(),
-        nn.Linear(8 * (h // 2) * (w // 2), classes, rng=np.random.default_rng(seed + 3)),
-    )
-    model.train()
-    with no_grad():
-        for _ in range(4):
-            model(Tensor(rng.normal(size=(8,) + shape).astype(np.float32)))
-    model.eval()
-    return convert_to_snn(model)
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def calibrations(port):
+    """``planner.calibration_runs`` from ``/metrics`` (None if absent)."""
+    status, metrics = http(port, "GET", "/metrics")
+    return metrics.get("planner", {}).get("calibration_runs") if status == 200 else None
 
 
 def main():
-    print("phase 1: organic cost-model calibration from measured races")
-    model = build_model()
-    engine = AutoEngine(drift_threshold=DRIFT_THRESHOLD)
-    rng = np.random.default_rng(5)
-    warm = rng.normal(size=(4,) + SHAPE).astype(np.float32)
-    for t in range(2, 8):
-        SpikingNetwork(model, timesteps=t, engine=engine).forward(warm)
-    check(
-        engine.cost_model.plan_ready(),
-        f"cost model fit from races alone ({len(engine.cost_model)} observations)",
-    )
-    raced_calibrations = engine.calibration_runs
+    with tempfile.TemporaryDirectory() as scratch:
+        return run(os.path.join(scratch, "plans.json"))
 
-    sample = rng.normal(size=SHAPE).astype(np.float32)
-    config = ServeConfig(
-        port=0,
-        engine=engine,  # pre-calibrated instance rides into the worker
-        timesteps=SERVE_TIMESTEPS,
-        max_batch_size=1,  # serial clients -> batch-1 runs, one plan key
-        default_deadline_ms=60_000.0,
+
+def run(plan_path):
+    model, _ = build_demo_network(input_shape=SHAPE)
+    rng = np.random.default_rng(11)
+    frames = rng.normal(size=(len(SCALES),) + SHAPE).astype(np.float32)
+
+    print("phase 1: calibrate once and persist the plan")
+    engine = AutoEngine(plan_path=plan_path)
+    SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine).forward_per_step(
+        frames[:1]
     )
-    statuses = []
-    with ServerHandle(model, SHAPE, config) as handle:
-        print("phase 2: predict-mode serving on a cold key")
-        for _ in range(3):
-            status, body = handle.infer(sample, timeout=60.0)
+    check(engine.calibration_runs == 1, "one race for the serve key")
+    check(Path(plan_path).is_file(), f"plan written to {plan_path}")
+
+    reference_net = SpikingNetwork(model, timesteps=TIMESTEPS, engine="batched")
+    shifted = [
+        (frame * scale).astype(np.float32)
+        for frame in frames for scale in SCALES
+    ]
+    references = [
+        reference_net.forward_per_step(x[np.newaxis])[-1][0] for x in shifted
+    ]
+
+    print("phase 2: serve amplitude-shifted traffic from the plan file")
+    port = free_port()
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port", str(port), "--timesteps", str(TIMESTEPS),
+            "--input-shape", ",".join(str(s) for s in SHAPE),
+            "--max-batch", "1", "--plan-path", plan_path,
+        ],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        ready = False
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and process.poll() is None:
+            try:
+                ready = http(port, "GET", "/readyz", timeout=5.0)[0] == 200
+            except OSError:
+                pass
+            if ready:
+                break
+            time.sleep(0.2)
+        check(ready, "CLI server came up and reported ready")
+        check(calibrations(port) == 0, "server loaded the plan without racing")
+
+        statuses, bitwise, raced = [], 0, 0
+        for x, reference in zip(shifted, references):
+            status, body = http(
+                port, "POST", "/v1/infer",
+                {"input": x.tolist(), "deadline_ms": 60_000},
+            )
             statuses.append(status)
-        check(statuses == [200, 200, 200], "baseline requests all 200")
+            if status == 200:
+                served = np.asarray(body["logits"], dtype=np.float64)
+                bitwise += np.array_equal(served, reference.astype(np.float64))
+            raced += calibrations(port) != 0
+        check(all(s == 200 for s in statuses), f"every response 200 ({statuses})")
+        check(raced == 0, "calibration_runs stayed 0 across the shifted traffic")
         check(
-            engine.calibration_runs == raced_calibrations + 1,
-            "cold serve key calibrated exactly once (then cached)",
-        )
-        serve_batch = sample[np.newaxis].astype(np.float32)
-        plan = engine.plan_for(serve_batch.shape, SERVE_TIMESTEPS)
-        check(plan is not None, "serve-shaped plan cached")
-        check(
-            plan.source == "cost-model",
-            f"cold key planned by prediction, not racing (got {plan.source!r})",
-        )
-        frozen_json = plan.to_json()
-
-        metrics = handle.request("GET", "/metrics")[1]
-        planner = metrics.get("planner")
-        check(planner is not None, "/metrics exposes the planner section")
-        check(planner["cost_model"]["plan_ready"] is True, "metrics report model ready")
-        check(
-            any(p["source"] == "cost-model" for p in planner["plans"]),
-            "metrics show the predicted plan",
-        )
-        check(metrics["worker"]["replans_seen"] == 0, "no re-plan before drift")
-        check(handle.request("GET", "/readyz")[0] == 200, "/readyz green pre-drift")
-
-        print("phase 3: density drift -> mid-run re-plan, bit-identical")
-        drifted = (sample * DRIFT_SCALE).astype(np.float32)
-        status, body = handle.infer(drifted, timeout=60.0)
-        statuses.append(status)
-        check(status == 200, "drifted request served 200")
-        served_logits = np.asarray(body["logits"], dtype=np.float64)
-
-        check(handle.request("GET", "/readyz")[0] == 200, "/readyz green across the re-plan")
-        metrics = handle.request("GET", "/metrics")[1]
-        check(
-            metrics["worker"]["replans_seen"] >= 1,
-            f"mid-run re-plan fired (replans_seen={metrics['worker']['replans_seen']})",
-        )
-        check(
-            any(p["source"] == "re-planned" for p in metrics["planner"]["plans"]),
-            "re-planned plan visible in /metrics",
+            bitwise == len(shifted),
+            f"served logits bitwise equal to batched ({bitwise}/{len(shifted)})",
         )
 
-        for _ in range(3):
-            status, _ = handle.infer(drifted, timeout=60.0)
-            statuses.append(status)
-        check(
-            all(s == 200 for s in statuses),
-            f"no 5xx across the whole stream ({statuses})",
-        )
-        check(handle.request("GET", "/readyz")[0] == 200, "/readyz green post-drift")
-
-    # Control: the same drifted batch under the frozen pre-drift plan,
-    # re-planning disabled.  The swap guarantee is that a mid-run
-    # re-plan only moves between bitwise-identical kernels, so the
-    # served logits must match this run exactly.
-    control_engine = AutoEngine(
-        drift_threshold=DRIFT_THRESHOLD, midrun_replan=False
-    )
-    control_engine.bind(model)
-    drift_batch = (sample * DRIFT_SCALE)[np.newaxis].astype(np.float32)
-    key = AutoEngine._plan_key(drift_batch, SERVE_TIMESTEPS)
-    control_engine._plans.put(key, ExecutionPlan.from_json(frozen_json))
-    control = SpikingNetwork(
-        model, timesteps=SERVE_TIMESTEPS, engine=control_engine
-    ).forward(drift_batch)
-    check(
-        np.array_equal(served_logits, np.asarray(control[0], dtype=np.float64)),
-        "re-planned logits bit-identical to frozen-plan control",
-    )
+        print("phase 3: SIGTERM drain")
+        process.send_signal(signal.SIGTERM)
+        check(process.wait(timeout=30.0) == 0, "server drained and exited 0")
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
 
     print("planner smoke: ok")
     return 0

@@ -215,10 +215,10 @@ def main() -> None:
         for layer in auto_stats.layers
         if layer.kind in ("conv", "linear")
     }
-    event_layers = sum(1 for backend in chosen.values() if backend == "event")
+    event_layers = sum(1 for backend in chosen.values() if backend != "gemm")
     print(
         f"\nauto engine plan: {event_layers}/{len(chosen)} synapse layers "
-        f"routed to the event gather, the rest stay on the batched GEMM"
+        f"routed to a sparse kernel, the rest stay on the batched GEMM"
     )
     print(
         f"\nevent-driven op saving: {event_stats.synaptic_op_saving:.1%} "

@@ -48,7 +48,7 @@ from repro.snn.engines.sharding import SHARD_MODES
 # sharding substrate list, so a bad --engine/--shard-mode value dies at
 # the parser with the valid choices spelled out instead of surfacing as
 # a traceback from deep inside the engine factory.
-ENGINE_CHOICES = tuple(sorted(set(ENGINES)))
+ENGINE_CHOICES = tuple(sorted(ENGINES))
 
 HARDWARE_ARTEFACTS = ("tab1", "tab2", "tab3", "tab4", "asic", "dse")
 TRAINING_ARTEFACTS = ("fig6", "fig7", "fig8", "fig9")
@@ -168,26 +168,12 @@ def _print_profile(curve, args) -> None:
     if planner is None:
         return
     snapshot = planner()
-    model = snapshot["cost_model"]
     print(
-        "planner: {} plan(s) cached; {} calibration(s), {} re-plan(s), "
-        "{} warm start(s); cost model {}".format(
-            len(snapshot["plans"]),
-            snapshot["calibration_runs"],
-            snapshot["replans_triggered"],
-            snapshot["warm_starts"],
-            "ready" if model["plan_ready"] else "not fitted yet",
+        "planner: {} plan(s) cached, each raced once on its first run "
+        "and replayed since; {} calibration race(s)".format(
+            len(snapshot["plans"]), snapshot["calibration_runs"]
         )
     )
-    for backend, residual in sorted(model.get("residuals", {}).items()):
-        print(
-            "  {:<14} {:>4} obs  rms {:.3f} ms  mean |err| {:.1f}%".format(
-                backend,
-                residual["observations"],
-                residual["rms_ms"],
-                residual["mean_abs_pct"],
-            )
-        )
 
 
 def _run_fig7(args) -> None:
@@ -520,9 +506,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "batcher (1 = today's in-process worker; N > 1 "
                         "scales across cores via shared-memory transport)")
     parser.add_argument("--plan-path", default=None, dest="plan_path",
-                        help="persisted execution-plan file for adaptive "
-                        "engines (shared warm start across restarts and "
-                        "replica pools)")
+                        help="persisted execution-plan file for the auto "
+                        "engine (plans raced once are replayed across "
+                        "restarts and replica pools)")
     parser.add_argument("--shard-mode", choices=SHARD_MODES, default="auto",
                         dest="shard_mode")
     parser.add_argument("--hang-timeout", type=float, default=30.0,
@@ -630,8 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="SNN simulation backend for training artefacts: full dense "
         "recompute per timestep, sparse event propagation, "
         "time-batched layer-sequential execution, or the adaptive "
-        "auto backend (profiles a calibration run, then picks "
-        "GEMM vs event-gather per layer; fastest)",
+        "auto backend (races GEMM vs the event kernels per layer on "
+        "the first run of each input shape, then replays that plan; "
+        "fastest)",
     )
     parser.add_argument(
         "--workers",

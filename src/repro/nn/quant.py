@@ -110,7 +110,11 @@ def quantize_weight_int8(
     qmin = -(2 ** (bits - 1))
     if scale is None:
         max_abs = float(np.abs(weight).max())
-        scale = max_abs / qmax if max_abs > 0 else 1.0
+        # Floored at the smallest normal float32: a smaller scale (all
+        # weights subnormal) underflows in the float32 division below,
+        # to 0 at worst, turning the weights into inf/nan.
+        tiny = float(np.finfo(np.float32).tiny)
+        scale = max(max_abs / qmax, tiny) if max_abs > 0 else 1.0
     w_int = np.clip(np.round(weight / scale), qmin, qmax).astype(np.int32)
     return w_int, float(scale)
 

@@ -66,7 +66,6 @@ from repro.serve.middleware import (
 from repro.serve.pool import EngineWorkerPool
 from repro.snn import convert_to_snn
 from repro.snn.engines import make_engine
-from repro.snn.engines.costmodel import CostModel, cost_model_path_for
 from repro.snn.engines.service import EngineWorker
 from repro.snn.engines.sharding import ShardPolicy
 from repro.tensor import Tensor, no_grad
@@ -172,13 +171,10 @@ class InferenceServer:
         engine = make_engine(cfg.engine)
         if cfg.plan_path and hasattr(engine, "load_plans"):
             # make_engine takes no kwargs; thread the plan file through
-            # post-construction.  Plans and the sibling cost model are
-            # caches — missing files just mean a cold calibration.
+            # post-construction.  Plans are a cache — a missing file
+            # just means a cold calibration.
             engine.plan_path = cfg.plan_path
             engine.load_plans(missing_ok=True)
-            engine.cost_model = CostModel.load(
-                cost_model_path_for(cfg.plan_path)
-            )
         engine.bind(model)
         if cfg.serve_workers > 1:
             # Process-parallel replicas over shared-memory transport.
@@ -433,12 +429,10 @@ class InferenceServer:
             "runs_completed": self.worker.runs_completed,
             "shard_failures": self.worker.shard_failures,
             "degraded_shard_mode": self.worker.last_degraded_mode,
-            "replans_seen": self.worker.replans_seen,
         }
         planner = self.worker.planner_snapshot()
         if planner is not None:
-            # Adaptive engines only: current plans, calibration/re-plan
-            # counters and cost-model residuals for drift diagnosis.
+            # Adaptive engines only: cached plans and calibration count.
             snapshot["planner"] = planner
         snapshot["degrade"] = {
             "current_timesteps": self.batcher.degrade.current,

@@ -12,15 +12,15 @@ keep up to N batches in flight.
 Transport is the :mod:`repro.serve.shm` slab ring — input batches and
 per-step cumulative logits cross the process boundary in place through
 ``multiprocessing.shared_memory`` segments; only a ~100-byte descriptor
-(slab names, generation tag, T, density) rides the queues.  Slabs are
+(slab names, generation tag, T) rides the queues.  Slabs are
 recycled, generation tags reject stale frames, and the parent-owned
 ring guarantees ``unlink()`` on drain and (via ``atexit``) on crash.
 
 Replication strategy:
 
 * **fork** (Linux/macOS): replicas are forked *after* the parent probes
-  the engine, so model weights, compiled execution plans and the cost
-  model are inherited copy-on-write — zero weight copies, and every
+  the engine, so model weights and compiled execution plans are
+  inherited copy-on-write — zero weight copies, and every
   replica starts from the identical plan cache (which is what keeps
   pool responses bit-identical to the single-worker path).  The
   inherited ``AutoEngine`` owner-pid guard means replicas never write
@@ -79,8 +79,8 @@ def pool_start_method() -> str:
 def _materialise_engine(payload: dict):
     """Build the replica's bound engine from the start-method payload."""
     if payload["mode"] == "fork":
-        # Nothing was pickled: the engine (weights, plan cache, cost
-        # model) arrived copy-on-write through fork.
+        # Nothing was pickled: the engine (weights, plan cache)
+        # arrived copy-on-write through fork.
         return payload["engine"]
     from repro.snn.engines import make_engine
 
@@ -138,10 +138,6 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
             x = _attach(item["input"]).read(
                 expected_generation=generation, copy=False
             )
-            density = item.get("density")
-            observe = getattr(engine, "observe_density_prior", None)
-            if observe is not None and density is not None:
-                observe(item.get("kind", "dense"), float(density))
             run = engine.run(
                 x,
                 int(item["timesteps"]),
@@ -156,7 +152,6 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
                 stats={
                     "shard_failures": len(run.stats.shard_failures),
                     "degraded_shard_mode": run.stats.degraded_shard_mode or "",
-                    "replan_triggered": bool(run.stats.replan_triggered),
                     "wall_clock_seconds": float(run.stats.wall_clock_seconds),
                 },
             )
@@ -226,7 +221,6 @@ class _PoolStats:
     wall_clock_seconds: float
     shard_failures: tuple = ()
     degraded_shard_mode: str = ""
-    replan_triggered: bool = False
 
 
 @dataclass
@@ -288,7 +282,6 @@ class EngineWorkerPool:
         self.runs_completed = 0
         self.shard_failures = 0
         self.last_degraded_mode = ""
-        self.replans_seen = 0
 
         self._lock = threading.Lock()
         self._closed = False
@@ -447,14 +440,6 @@ class EngineWorkerPool:
                 timesteps * x.shape[0] * self.classes * self._logit_dtype.itemsize
             )
             output_slab = self.ring.acquire(out_bytes)
-            density = float(np.count_nonzero(x)) / max(x.size, 1)
-            # Feed the parent engine's density prior too: /metrics
-            # reports the parent's planner snapshot, and replicas built
-            # after a rebuild fork from the parent — so a fresh replica
-            # warm-starts from the traffic observed so far.
-            observe = getattr(self._engine, "observe_density_prior", None)
-            if observe is not None:
-                observe("dense", density)
             dispatch = _Dispatch(
                 rid=rid,
                 descriptor={
@@ -463,8 +448,6 @@ class EngineWorkerPool:
                     "output": output_slab.name,
                     "generation": generation,
                     "timesteps": timesteps,
-                    "density": density,
-                    "kind": "dense",
                 },
                 input_slab=input_slab,
                 output_slab=output_slab,
@@ -594,8 +577,6 @@ class EngineWorkerPool:
                     self.shard_failures += len(stats.shard_failures)
                     if stats.degraded_shard_mode:
                         self.last_degraded_mode = stats.degraded_shard_mode
-                    if stats.replan_triggered:
-                        self.replans_seen += 1
         if dispatch.future.done():
             return
         if error is not None:
@@ -621,7 +602,6 @@ class EngineWorkerPool:
             wall_clock_seconds=float(raw.get("wall_clock_seconds", 0.0)),
             shard_failures=tuple(range(int(raw.get("shard_failures", 0)))),
             degraded_shard_mode=str(raw.get("degraded_shard_mode", "")),
-            replan_triggered=bool(raw.get("replan_triggered", False)),
         )
         per_step = [stacked[t] for t in range(stacked.shape[0])]
         run = PoolRun(

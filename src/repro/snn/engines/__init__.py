@@ -3,7 +3,7 @@
 The paper's central claim is that event-driven, sparsity-exploiting
 execution is what makes the accelerator fast: per timestep the hardware
 only pays for kernel-row segments that actually carry spikes.  This
-package structures SNN execution as an engine layer with four backends
+package structures SNN execution as an engine layer with five backends
 behind one :class:`SimulationEngine` interface:
 
 ``DenseEngine`` (:mod:`repro.snn.engines.dense`)
@@ -18,12 +18,17 @@ behind one :class:`SimulationEngine` interface:
     The wall-clock backend: layer-outer/time-inner execution, one GEMM
     per stateless layer over a ``(T*N, ...)`` stack.
 
+``EventBatchedEngine`` (:mod:`repro.snn.engines.event_batched`)
+    The time-batched schedule with a COO-native gather for sparse
+    layers, bitwise identical to the batched GEMM.
+
 ``AutoEngine`` (:mod:`repro.snn.engines.auto`)
-    The adaptive backend: profiles a calibration run (per-layer wall
-    clock + observed density) and compiles a cached per-layer plan —
-    batched GEMM where dense arithmetic wins, event gather where the
-    measured sparsity pays, the same measure-then-specialise loop the
-    paper's mapper applies in hardware.
+    The adaptive backend: on the first run of each plan key (input
+    kind, shape, T, density bucket) it races the batched GEMM, the
+    per-plane event gather and the COO row-subset kernel per layer on
+    the live activations, caches the winning per-layer plan and replays
+    it unchanged from then on — the same measure-then-specialise loop
+    the paper's mapper applies in hardware.
 
 All engines run the *same* module graph — backends install
 per-instance forward interceptors for the duration of a run — so
@@ -63,11 +68,6 @@ from repro.snn.engines.base import (
     _effective_weight,
 )
 from repro.snn.engines.batched import TimeBatchedEngine
-from repro.snn.engines.costmodel import (
-    CostModel,
-    cost_model_path_for,
-    sparse_feature_ops,
-)
 from repro.snn.engines.dense import DenseEngine, dense_conv2d
 from repro.snn.engines.event import (
     SparseEventEngine,
@@ -93,7 +93,6 @@ from repro.snn.engines.sharding import (
     clone_for_inference,
     fork_available,
     resolve_shard_mode,
-    run_layer_shards,
     run_supervised,
     split_bounds,
 )
@@ -104,13 +103,9 @@ from repro.snn.engines.sharding import (
 ENGINES = {
     "dense": DenseEngine,
     "event": SparseEventEngine,
-    "sparse": SparseEventEngine,  # alias
     "batched": TimeBatchedEngine,
-    "time-batched": TimeBatchedEngine,  # alias
     "event-batched": EventBatchedEngine,
-    "coo": EventBatchedEngine,  # alias
     "auto": AutoEngine,
-    "adaptive": AutoEngine,  # alias
 }
 
 EngineSpec = Union[str, SimulationEngine]
@@ -125,14 +120,13 @@ def make_engine(spec: EngineSpec = "dense") -> SimulationEngine:
             return ENGINES[spec.lower()]()
         except KeyError:
             raise ValueError(
-                f"unknown engine {spec!r}; choose from {sorted(set(ENGINES))}"
+                f"unknown engine {spec!r}; choose from {sorted(ENGINES)}"
             ) from None
     raise TypeError(f"engine must be a name or SimulationEngine, got {type(spec)!r}")
 
 
 __all__ = [
     "AutoEngine",
-    "CostModel",
     "DENSITY_BUCKET_EDGES",
     "DenseEngine",
     "ENGINES",
@@ -158,10 +152,8 @@ __all__ = [
     "WEIGHT_CACHE_CAPACITY",
     "clone_for_inference",
     "run_supervised",
-    "run_layer_shards",
     "split_bounds",
     "conv_active_windows",
-    "cost_model_path_for",
     "dense_conv2d",
     "density_bucket",
     "fork_available",
@@ -169,7 +161,6 @@ __all__ = [
     "pooled_coords",
     "profiled_call",
     "resolve_shard_mode",
-    "sparse_feature_ops",
     "sparse_linear",
     "sparse_conv2d",
 ]

@@ -47,21 +47,16 @@ from repro.tensor import Tensor, no_grad
 class EngineRun:
     """Result of one engine invocation.
 
-    ``plan``, ``dropped_plan_key`` and ``observations`` are
-    engine-private payloads shipped back from shard workers (picklable,
-    so they survive the fork-pool return trip): the auto engine uses
-    them to hand a freshly compiled execution plan, a drift-guard
-    eviction, or the calibration's raw ``(backend, ops, ms)`` cost
-    samples from a worker back to the parent's surviving plan cache and
-    cost model.
+    ``plan`` is an engine-private payload shipped back from shard
+    workers (picklable, so it survives the fork-pool return trip): the
+    auto engine uses it to hand a freshly compiled execution plan from
+    a worker back to the parent's surviving plan cache.
     """
 
     logits: np.ndarray
     stats: RunStats
     per_step: Optional[List[np.ndarray]] = None
     plan: Optional[object] = None
-    dropped_plan_key: Optional[Tuple] = None
-    observations: Optional[List[Tuple]] = None
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +94,7 @@ class LRUCache:
                 self._data.popitem(last=False)
 
     def pop(self, key, default=None):
-        """Remove and return an entry (drift-triggered plan invalidation)."""
+        """Remove and return an entry."""
         with self._lock:
             return self._data.pop(key, default)
 

@@ -39,11 +39,9 @@ def profiled_call(
 
     The timer brackets only ``fn`` itself; the density count runs
     outside the timed region so profiling overhead is never billed to
-    the layer.  Density is recorded *before* the layer executes: the
-    adaptive engine's mid-run drift guard reads the current layer's
-    observed density off ``stat`` inside the interceptor to decide
-    whether to swap the plan at this very layer boundary, so the number
-    must already be there when ``fn`` runs.  ``nonzero_of`` lets the
+    the layer.  Density is recorded *before* the layer executes, so an
+    interceptor can already read the current call's observed density
+    off ``stat`` when ``fn`` runs.  ``nonzero_of`` lets the
     engine answer the nonzero count from metadata it already carries
     (COO stream coordinates) — a ``None`` return falls back to scanning
     the plane.

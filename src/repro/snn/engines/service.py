@@ -116,7 +116,6 @@ class EngineWorker:
         self.runs_completed = 0
         self.shard_failures = 0    # supervised failures absorbed inside runs
         self.last_degraded_mode = ""
-        self.replans_seen = 0      # planner drift events observed in runs
 
     # ------------------------------------------------------------------
     def _fresh_executor(self) -> ThreadPoolExecutor:
@@ -138,12 +137,6 @@ class EngineWorker:
     def _run(self, x, timesteps: int, per_step: bool) -> EngineRun:
         if self.probe_shape is None and hasattr(x, "shape"):
             self.probe_shape = tuple(int(s) for s in x.shape[1:])
-        observe = getattr(self._engine, "observe_density_prior", None)
-        if observe is not None and isinstance(x, np.ndarray):
-            # Serving-observed density feeds the planner's EWMA prior so
-            # cold plan keys warm-start from real traffic (one
-            # count_nonzero pass — noise next to a T-timestep run).
-            observe("dense", float(np.count_nonzero(x)) / max(x.size, 1))
         run = self._engine.run(
             x,
             timesteps,
@@ -157,8 +150,6 @@ class EngineWorker:
             self.shard_failures += len(run.stats.shard_failures)
             if run.stats.degraded_shard_mode:
                 self.last_degraded_mode = run.stats.degraded_shard_mode
-            if run.stats.replan_triggered:
-                self.replans_seen += 1
         return run
 
     def submit(self, x, timesteps: int, per_step: bool = False) -> Future:
@@ -221,9 +212,8 @@ class EngineWorker:
         """The engine's planner state, when the engine has a planner.
 
         ``AutoEngine.planner_snapshot()`` passed through (cached plans,
-        calibration/re-plan counters, cost-model fit quality); ``None``
-        for fixed-backend engines.  Slot restarts preserve it: sibling
-        engines share the plan cache and cost model.
+        calibration count); ``None`` for fixed-backend engines.  Slot
+        restarts preserve it: sibling engines share the plan cache.
         """
         snapshot = getattr(self._engine, "planner_snapshot", None)
         if snapshot is None:

@@ -74,14 +74,17 @@ class TestParser:
             assert mode in err
 
     def test_engine_choices_track_registry(self):
-        """The CLI accepts exactly the engine registry, aliases included,
-        so a new backend never needs a second hand-maintained list."""
+        """The CLI accepts exactly the engine registry — the five
+        canonical names — so a new backend never needs a second
+        hand-maintained list."""
         from repro.cli import ENGINE_CHOICES
         from repro.snn.engines import ENGINES
 
-        assert set(ENGINE_CHOICES) == set(ENGINES)
-        args = build_parser().parse_args(["fig7", "--engine", "adaptive"])
-        assert args.engine == "adaptive"
+        assert set(ENGINE_CHOICES) == set(ENGINES) == {
+            "auto", "batched", "dense", "event", "event-batched",
+        }
+        args = build_parser().parse_args(["fig7", "--engine", "event-batched"])
+        assert args.engine == "event-batched"
 
     def test_shard_mode_choices_track_registry(self):
         from repro.snn.engines.sharding import SHARD_MODES

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.hw.core import SpikingCore
@@ -62,6 +62,7 @@ def test_quantize_to_fixed_error_bound(values, frac_bits):
         elements=st.floats(-5, 5, allow_nan=False, width=32),
     )
 )
+@example(np.array([1e-45, 0.0], dtype=np.float32))  # all-subnormal weights
 def test_weight_quant_roundtrip_bound(weights):
     w_int, scale = quantize_weight_int8(weights)
     back = dequantize_weight(w_int, scale)

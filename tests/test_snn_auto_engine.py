@@ -1,19 +1,20 @@
 """Adaptive (auto) engine tests: calibration, plan caching, equivalence.
 
-The auto engine runs the time-batched GEMM schedule while profiling a
-calibration pass, then compiles a per-layer GEMM/event plan cached by
-(input shape, T).  Logits must match the dense reference within float
-summation-order tolerance on every model family, calibration must not
-repeat for a cached key, and the per-layer profile (wall clock,
-density, chosen backend) must be populated for downstream consumers
-(``profile_table`` / BENCH_engines.json).
+The auto engine runs the time-batched GEMM schedule while racing the
+sparse kernels on the first run of each plan key (input kind, shape, T,
+density bucket), then replays the cached per-layer plan unchanged.
+Logits must match the dense reference within float summation-order
+tolerance on every model family, calibration must happen exactly once
+per key, and the per-layer profile (wall clock, density, chosen
+backend) must be populated for downstream consumers (``profile_table``
+/ BENCH_engines.json).
 """
 
 import numpy as np
 import pytest
 
 from repro.snn import AutoEngine, SpikingNetwork, make_engine
-from repro.snn.engines import ExecutionPlan
+from repro.snn.engines import ExecutionPlan, LayerDecision
 
 from test_snn_engine import converted_pooled_toy, converted_resnet, converted_toy
 
@@ -33,7 +34,8 @@ def _dense_vs_auto(model_factory, x, timesteps, atol):
 class TestMakeAutoEngine:
     def test_names(self):
         assert isinstance(make_engine("auto"), AutoEngine)
-        assert isinstance(make_engine("adaptive"), AutoEngine)
+        with pytest.raises(ValueError, match="auto"):
+            make_engine("adaptive")  # the old alias is gone
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -128,7 +130,7 @@ class TestPlanCache:
         assert isinstance(plan, ExecutionPlan)
         assert set(plan.decisions) == {"0", "4"}  # the conv and the linear
         for decision in plan.decisions.values():
-            assert decision.backend in ("gemm", "event")
+            assert decision.backend in ("gemm", "event", "event-batched")
             assert 0.0 <= decision.density <= 1.0
             assert decision.gemm_seconds > 0.0
         # The frame conv sees the dense constant input: never event.
@@ -146,7 +148,7 @@ class TestPlanCache:
             if layer.kind == "neuron":
                 assert layer.backend == "stepped"
             else:
-                assert layer.backend in ("gemm", "event")
+                assert layer.backend in ("gemm", "event", "event-batched")
         table = stats.profile_table()
         assert "backend" in table
         assert "gemm" in table
@@ -173,11 +175,9 @@ class TestProfile:
         assert [r["name"] for r in records] == ["0", "2", "4"]
         for row in records:
             assert set(row) == {
-                "name", "kind", "backend", "source", "wall_clock_ms",
-                "predicted_ms", "density", "synaptic_ops",
+                "name", "kind", "backend", "wall_clock_ms", "density",
+                "synaptic_ops",
             }
-            if row["kind"] in ("conv", "linear"):
-                assert row["source"] in ("raced", "cost-model", "re-planned")
 
     def test_batched_engine_profile_can_be_disabled(self):
         from repro.snn import TimeBatchedEngine
@@ -223,96 +223,6 @@ class TestSharding:
         x = np.random.default_rng(82).normal(size=(6, 2, 4, 4)).astype(np.float32)
         net.forward(x, workers=2)  # two (3, 2, 4, 4) shards
         assert engine.plan_for((3, 2, 4, 4), 4) is not None
-
-
-class TestDriftGuard:
-    """The plan's calibration densities are compared against every
-    planned run's observed densities; drifting past the threshold drops
-    the plan (one log line + RunStats flag) so the next run
-    recalibrates — the ROADMAP's distribution-shift follow-up."""
-
-    def _net(self, **kwargs):
-        engine = AutoEngine(**kwargs)
-        return engine, SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-
-    def test_stable_input_keeps_plan(self):
-        engine, net = self._net(drift_threshold=0.5)
-        x = np.random.default_rng(90).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net.forward(x)
-        net.forward(x)
-        stats = net.last_run_stats
-        assert stats.replan_triggered is False
-        assert stats.plan_drift < 0.5
-        assert engine.replans_triggered == 0
-        assert engine.plan_for(x.shape, 4) is not None
-
-    def test_distribution_shift_triggers_replan(self, caplog):
-        import logging
-
-        engine, net = self._net(drift_threshold=0.3)
-        rng = np.random.default_rng(91)
-        x = rng.normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net.forward(x)  # calibrate
-        shifted = np.abs(rng.normal(size=(4, 2, 4, 4))).astype(np.float32) * 10
-        with caplog.at_level(logging.INFO, logger="repro.snn.engines.auto"):
-            net.forward(shifted)  # planned run on drifted densities
-        stats = net.last_run_stats
-        assert stats.replan_triggered is True
-        assert stats.plan_drift > 0.3
-        assert engine.replans_triggered == 1
-        assert engine.plan_for(x.shape, 4) is None  # plan dropped
-        assert any("recalibrates" in r.message for r in caplog.records)
-        net.forward(shifted)  # next run recalibrates on the new regime
-        assert engine.calibration_runs == 2
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            AutoEngine(drift_threshold=0.0)
-
-    def test_tiny_absolute_deviation_never_triggers(self):
-        """Near-silent layers vary hugely in *relative* terms between
-        batches; the guard must ignore them or it oscillates
-        calibrate/drop on every run."""
-        from repro.snn.engines import LayerDecision
-        from repro.snn.stats import LayerStats, RunStats
-
-        engine = AutoEngine(drift_threshold=0.5)
-        plan = ExecutionPlan(key=("dense", (1, 2, 4, 4), 4))
-        plan.decisions["l"] = LayerDecision(
-            name="l", backend="gemm", density=1e-6, gemm_seconds=1.0
-        )
-        stats = RunStats(
-            batch_size=1,
-            timesteps=4,
-            layers=[
-                LayerStats(name="l", kind="conv", input_nonzero=1, input_size=10_000)
-            ],
-        )
-        # Observed 1e-4 vs calibrated 1e-6: relative drift ~99x but the
-        # absolute deviation is far below any kernel crossover.
-        assert engine._check_drift(plan.key, plan, stats) is False
-        assert stats.replan_triggered is False
-
-    def test_sharded_drift_evicts_parent_plan_and_plan_file(self, tmp_path):
-        """Fork children drop plans only in their throwaway cache and
-        thread siblings carry no plan_path, so the eviction must ride
-        back on the EngineRun for the parent to re-drop and re-persist
-        — otherwise 'next run recalibrates' silently never happens."""
-        path = str(tmp_path / "plans.json")
-        engine = AutoEngine(drift_threshold=0.3, plan_path=path)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-        rng = np.random.default_rng(96)
-        x = rng.normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=2)  # calibrates per-shard (3, 2, 4, 4) plans
-        assert engine.plan_for((3, 2, 4, 4), 4) is not None
-        shifted = np.abs(rng.normal(size=(6, 2, 4, 4))).astype(np.float32) * 10
-        net.forward(shifted, workers=2)  # drifted planned shards
-        assert net.last_run_stats.replan_triggered  # merged from shards
-        assert engine.plan_for((3, 2, 4, 4), 4) is None  # parent cache too
-        # The persisted file lost the plan as well: a fresh process
-        # must recalibrate rather than reload the drifted plan.
-        reloaded = AutoEngine(plan_path=path)
-        assert reloaded.plan_for((3, 2, 4, 4), 4) is None
 
 
 class TestPlanPersistence:
@@ -410,9 +320,7 @@ class TestPlanPersistence:
 class TestDensityBucketPlanKeys:
     """Plan keys carry a coarse input-density bucket: a plan calibrated
     on mid-density frames must not be silently reused for a very sparse
-    stream of the same shape — the kernel crossover moves with density,
-    and before bucketing the reuse both mis-picked backends and fought
-    the drift guard (every alternation looked like distribution shift)."""
+    stream of the same shape — the kernel crossover moves with density."""
 
     @staticmethod
     def _stream(shape, timesteps, p, seed):
@@ -457,24 +365,6 @@ class TestDensityBucketPlanKeys:
             )
             assert plan is not None
 
-    def test_bucketed_plans_do_not_fight_drift_guard(self):
-        """Alternating sparse/dense inputs of one shape settle into two
-        stable plans — no drift replans, no recalibration churn.  (The
-        pre-bucket failure mode: run 2 reuses run 1's plan, the drift
-        guard sees ~100% density deviation, drops the plan, and every
-        alternation recalibrates forever.)"""
-        engine = AutoEngine(drift_threshold=0.3)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-        shape = (4, 2, 4, 4)
-        sparse = self._stream(shape, 4, p=0.02, seed=72)
-        dense_stream = self._stream(shape, 4, p=0.9, seed=73)
-        for _ in range(2):
-            net.forward(sparse)
-            net.forward(dense_stream)
-        assert engine.calibration_runs == 2
-        assert engine.replans_triggered == 0
-        assert net.last_run_stats.replan_triggered is False
-
     def test_calibration_races_coo_backend(self):
         """Calibration on a sparse stream times the COO row-subset path
         alongside gemm/event, recording coo_seconds in the decision."""
@@ -506,69 +396,110 @@ class TestStreamPlanKeys:
         assert engine.plan_for(x.shape, 4, kind="stream") is not None
 
 
-class TestServingDensityPrior:
-    """Serving-observed densities feed an EWMA prior per input kind;
-    a cold plan key with no same-shape neighbour warm-starts from the
-    cached plan nearest that prior (cross-shape seed), so the first
-    batch of a never-seen batch size benefits from production traffic."""
+@pytest.fixture(scope="module")
+def trained_toy_vgg():
+    """VGG-11 at width 0.125, trained one epoch on synthetic CIFAR and
+    converted, plus 64 distinct test frames — the frame-at-a-time
+    workload whose deeper layers' spike densities vary frame to frame."""
+    from repro.data import SyntheticCIFAR
+    from repro.pipeline import build_quantized_twin
+    from repro.pipeline.trainer import TrainConfig, Trainer
+    from repro.snn import convert_to_snn
 
-    def test_ewma_update_clamps_and_snapshots(self):
+    data = SyntheticCIFAR(num_train=128, num_test=64, noise=0.8, seed=3)
+    model = build_quantized_twin(
+        "vgg11", width=0.125, num_classes=10, levels=2, seed=0
+    )
+    Trainer(model, TrainConfig(epochs=1, lr=1e-3)).fit(data.train_x, data.train_y)
+    return convert_to_snn(model), data.test_x
+
+
+class TestOneRacePerKey:
+    def test_varied_frames_replay_the_one_raced_plan(self, trained_toy_vgg):
+        """Frames whose per-layer densities wander never re-plan, evict
+        or recalibrate: one race, one cached plan, replayed unchanged,
+        with logits bitwise equal to the batched engine on every run."""
+        model, frames = trained_toy_vgg
+        assert len({frame.tobytes() for frame in frames}) == len(frames) >= 64
         engine = AutoEngine()
-        engine.observe_density_prior("dense", 0.5)
-        engine.observe_density_prior("dense", 1.5)  # clamps to 1.0
-        snap = engine.planner_snapshot()
-        assert snap["density_priors"]["dense"] == pytest.approx(0.6)
-        assert snap["prior_warm_starts"] == 0
+        auto = SpikingNetwork(model, timesteps=8, engine=engine)
+        batched = SpikingNetwork(model, timesteps=8, engine="batched")
+        raced = None
+        for frame in frames:
+            x = frame[np.newaxis]
+            logits = auto.forward(x)
+            assert auto.last_run_stats.plan_source == "raced"
+            snapshot = engine.planner_snapshot()
+            assert snapshot["calibration_runs"] == 1
+            assert len(snapshot["plans"]) == 1
+            plan = engine.plan_for(x.shape, 8).to_json()
+            raced = plan if raced is None else raced
+            assert plan == raced
+            assert np.array_equal(logits, batched.forward(x))
 
-    def test_unseen_batch_size_warm_starts_from_prior(self):
+
+@pytest.fixture(scope="module")
+def converted_dvs():
+    """A BN-warmed two-conv front end on 32x32x2 synthetic DVS events,
+    and a batch-4 COO test stream at well under 1% density."""
+    from repro import nn
+    from repro.data.events import SyntheticDVS
+    from repro.snn import convert_to_snn
+    from repro.tensor import Tensor, no_grad
+
+    side = 32
+    rng = np.random.default_rng(7)
+    model = nn.Sequential(
+        nn.Conv2d(2, 8, 3, padding=1, bias=False, rng=rng),
+        nn.BatchNorm2d(8),
+        nn.QuantReLU(levels=2, init_step=2.0),
+        nn.MaxPool2d(2),
+        nn.Conv2d(8, 16, 3, padding=1, bias=False, rng=rng),
+        nn.BatchNorm2d(16),
+        nn.QuantReLU(levels=2, init_step=2.0),
+        nn.AvgPool2d(4),
+        nn.Flatten(),
+        nn.Linear(16 * (side // 8) ** 2, 4, rng=rng),
+    )
+    dvs = SyntheticDVS(num_train=8, num_test=4, height=side, width=side,
+                       timesteps=8, noise_rate=0.002, seed=3)
+    frames = dvs.spike_stream("train")[0].to_dense(np.float32)
+    warm = frames.reshape((-1,) + frames.shape[2:])
+    model.train()
+    with no_grad():
+        for start in range(0, len(warm), 32):
+            model(Tensor(warm[start : start + 32]))
+    model.eval()
+    return convert_to_snn(model), dvs.spike_stream("test")[0]
+
+
+class TestEventLayers:
+    def test_event_layers_counts_every_sparse_backend(self):
+        plan = ExecutionPlan(key=("stream", (4, 2, 8, 8), 8, 1))
+        for name, backend in (("a", "gemm"), ("b", "event"), ("c", "event-batched")):
+            plan.decisions[name] = LayerDecision(
+                name=name, backend=backend, density=0.01, gemm_seconds=1.0
+            )
+        assert plan.event_layers == 2
+
+    def test_dvs_snapshot_reports_event_batched_layers(self, converted_dvs):
+        model, stream = converted_dvs
+        assert stream.density < 0.01
         engine = AutoEngine()
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-        rng = np.random.default_rng(80)
-        x1 = rng.normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net.forward(x1)
-        assert engine.calibration_runs == 1
-        engine.observe_density_prior(
-            "dense", float(np.count_nonzero(x1)) / x1.size
-        )
-        # A batch size this engine has never planned: no same-shape
-        # neighbour exists, so the serving prior supplies the seed.
-        x2 = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
-        net.forward(x2)
-        assert engine.calibration_runs == 2  # still calibrates...
-        assert engine.prior_warm_starts == 1  # ...seeded by the prior
-        assert engine.planner_snapshot()["prior_warm_starts"] == 1
-
-    def test_cold_key_without_prior_does_not_warm_start(self):
-        engine = AutoEngine()
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-        rng = np.random.default_rng(81)
-        net.forward(rng.normal(size=(6, 2, 4, 4)).astype(np.float32))
-        net.forward(rng.normal(size=(3, 2, 4, 4)).astype(np.float32))
-        assert engine.prior_warm_starts == 0  # no serving traffic seen
-
-    def test_same_shape_neighbor_wins_over_prior(self):
-        engine = AutoEngine()
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
-        shape = (4, 2, 4, 4)
-        sparse = TestDensityBucketPlanKeys._stream(shape, 4, p=0.02, seed=82)
-        dense_stream = TestDensityBucketPlanKeys._stream(shape, 4, p=0.9, seed=83)
-        net.forward(sparse)
-        engine.observe_density_prior("stream", sparse.density)
-        net.forward(dense_stream)
-        # Same shape, different bucket: the neighbour seed applies and
-        # the cross-shape prior path is never consulted.
-        assert engine.calibration_runs == 2
-        assert engine.prior_warm_starts == 0
-
-    def test_engine_worker_feeds_serving_densities(self):
-        from repro.snn.engines import EngineWorker
-
-        engine = make_engine("auto").bind(converted_toy())
-        worker = EngineWorker(engine, probe_shape=(2, 4, 4))
-        try:
-            x = np.random.default_rng(84).normal(size=(2, 2, 4, 4))
-            worker.submit(x.astype(np.float32), 2).result(timeout=60)
-            priors = engine.planner_snapshot()["density_priors"]
-            assert "dense" in priors and 0.0 < priors["dense"] <= 1.0
-        finally:
-            worker.shutdown()
+        auto = SpikingNetwork(model, timesteps=8, engine=engine)
+        auto.forward(stream)  # races
+        logits = auto.forward(stream)  # replays
+        backends = [
+            layer.backend for layer in auto.last_run_stats.layers
+            if layer.kind != "neuron"
+        ]
+        (entry,) = engine.planner_snapshot()["plans"]
+        assert entry["input_kind"] == "stream"
+        assert entry["event_layers"] == sum(b != "gemm" for b in backends)
+        if "event-batched" in backends:
+            assert entry["event_layers"] >= 1
+        if "event" not in backends:
+            # The per-plane gather is only summation-order equal; every
+            # other kernel is bitwise the batched GEMM.
+            batched = SpikingNetwork(model, timesteps=8, engine="batched")
+            assert np.array_equal(logits, batched.forward(stream))

@@ -76,9 +76,7 @@ class TestMakeEngine:
     def test_names(self):
         assert isinstance(make_engine("dense"), DenseEngine)
         assert isinstance(make_engine("event"), SparseEventEngine)
-        assert isinstance(make_engine("sparse"), SparseEventEngine)
         assert isinstance(make_engine("batched"), TimeBatchedEngine)
-        assert isinstance(make_engine("time-batched"), TimeBatchedEngine)
 
     def test_instance_passthrough(self):
         engine = SparseEventEngine()
@@ -99,6 +97,13 @@ class TestMakeEngine:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_engine("warp-drive")
+        # The retired aliases are unknown names too, and the error lists
+        # the five canonical engines.
+        for alias in ("sparse", "time-batched", "coo", "adaptive"):
+            with pytest.raises(ValueError) as excinfo:
+                make_engine(alias)
+            for name in ("auto", "batched", "dense", "event", "event-batched"):
+                assert repr(name) in str(excinfo.value)
 
     def test_bad_type(self):
         with pytest.raises(TypeError):
@@ -500,11 +505,10 @@ class TestProfileFormatting:
         assert [r["name"] for r in records] == [l.name for l in stats.layers]
         for row, layer in zip(records, stats.layers):
             assert set(row) == {
-                "name", "kind", "backend", "source", "wall_clock_ms",
-                "predicted_ms", "density", "synaptic_ops",
+                "name", "kind", "backend", "wall_clock_ms", "density",
+                "synaptic_ops",
             }
             assert row["backend"] == "event"  # fixed engine: no per-layer choice
-            assert row["source"] == ""  # fixed engine: no planner provenance
             assert row["wall_clock_ms"] == round(layer.wall_clock_seconds * 1e3, 3)
             assert row["density"] == round(layer.density, 6)
             assert isinstance(row["synaptic_ops"], int)
