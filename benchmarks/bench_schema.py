@@ -152,7 +152,7 @@ SERVING_POOL_KEYS = (
     "pool_rps",
     "pool_scaling_gain",
     "bit_identical_vs_single_worker",
-    "leaked_segments",
+    "leaked_replicas",
 )
 
 MIN_POOL_SCALING_GAIN = 2.0
@@ -207,8 +207,8 @@ def assert_serving_schema(record: dict) -> None:
     assert pool["bit_identical_vs_single_worker"] is True, (
         "pool responses must be bit-identical to the single-worker path"
     )
-    assert pool["leaked_segments"] == 0, (
-        "the pool drain left shared-memory segments behind"
+    assert pool["leaked_replicas"] == 0, (
+        "the pool drain left replica processes running"
     )
     if pool["gate_eligible"]:
         assert pool["pool_scaling_gain"] >= MIN_POOL_SCALING_GAIN, (

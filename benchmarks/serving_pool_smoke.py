@@ -11,14 +11,15 @@ Two phases, exit 0 only if both hold:
    under concurrent load; one replica is SIGKILLed mid-stream.  Asserts
    every response is 200 (the dead replica's outstanding work re-queues
    onto survivors — never a 5xx), ``/readyz`` stays green, the pool
-   metrics show exactly the one rebuild, and stopping the server leaves
-   zero shared-memory segments behind.
+   metrics show exactly the one rebuild, and every replica pid
+   ``/metrics`` reported before the stop is gone after it.
 2. **Subprocess SIGTERM** — ``python -m repro.cli serve
    --serve-workers 3`` as a real process: readiness polled over HTTP,
    load applied from threads, SIGTERM delivered mid-stream.  Asserts
-   the drain exits 0, every client outcome is definite (200/503/clean
-   close), and ``/dev/shm`` holds no new ``repro-pool`` segment after
-   the process is gone — the unlink guarantee, observed from outside.
+   the drain exits 0 with no traceback on stderr, every client outcome
+   is definite (200/503/clean close), and every replica pid
+   ``/metrics`` reported before the SIGTERM is gone once the server
+   is — no replica outlives its server.
 
 Standalone on purpose (plain script, not pytest): CI runs it as its
 own job so a pool regression is visible as a named failing step.
@@ -39,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.serve import ServeConfig, ServerHandle, build_demo_network  # noqa: E402
-from repro.serve.shm import SEGMENT_PREFIX, list_segments  # noqa: E402
 
 SHAPE = (2, 8, 8)
 TIMESTEPS = 6
@@ -53,6 +53,32 @@ def check(condition, message):
         print(f"SMOKE FAIL: {message}", file=sys.stderr)
         sys.exit(1)
     print(f"  ok: {message}")
+
+
+def pid_running(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper has exited."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True  # no procfs: kill(pid, 0) is all there is to go on
+
+
+def check_replicas_gone(pids, wait_seconds=10.0):
+    deadline = time.monotonic() + wait_seconds
+    while time.monotonic() < deadline and any(map(pid_running, pids)):
+        time.sleep(0.1)
+    survivors = [pid for pid in pids if pid_running(pid)]
+    check(
+        pids and not survivors,
+        f"all {len(pids)} replica processes gone (survivors: {survivors})",
+    )
 
 
 def phase_replica_kill():
@@ -71,7 +97,6 @@ def phase_replica_kill():
     rng = np.random.default_rng(1)
     handle = ServerHandle(core, shape, config)
     pool = handle.server.worker
-    prefix = pool.ring.prefix
     try:
         statuses = []
         lock = threading.Lock()
@@ -126,15 +151,15 @@ def phase_replica_kill():
         ):
             time.sleep(0.1)
         check(all(r.alive() for r in pool._replicas), "every replica live again")
+        metrics = handle.request("GET", "/metrics")[1]
+        pids = [r["pid"] for r in metrics["pool"]["per_replica"]]
     finally:
         handle.stop(timeout=60.0)
-    check(
-        list_segments(prefix) == [],
-        "zero shared-memory segments after the pool drained",
-    )
+    check_replicas_gone(pids)
 
 
 def http_get(port, path, timeout=5.0):
+    """(status, raw body) of one ``Connection: close`` GET."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as conn:
         conn.sendall(
             f"GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode()
@@ -145,7 +170,8 @@ def http_get(port, path, timeout=5.0):
             if not chunk:
                 break
             raw += chunk
-    return int(raw.split(b" ", 2)[1])
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), body
 
 
 def http_infer(port, sample, timeout=30.0):
@@ -162,6 +188,8 @@ def http_infer(port, sample, timeout=30.0):
             if not chunk:
                 break
             raw += chunk
+    if not raw:
+        return 0  # closed without an answer: a clean drain outcome
     return int(raw.split(b" ", 2)[1])
 
 
@@ -173,7 +201,6 @@ def free_port():
 
 def phase_sigterm():
     print(f"phase 2: subprocess --serve-workers {REPLICAS} SIGTERM drain")
-    segments_before = set(list_segments(SEGMENT_PREFIX))
     port = free_port()
     env = dict(os.environ, PYTHONPATH="src")
     process = subprocess.Popen(
@@ -195,12 +222,14 @@ def phase_sigterm():
             if process.poll() is not None:
                 break
             try:
-                if http_get(port, "/readyz") == 200:
+                if http_get(port, "/readyz")[0] == 200:
                     ready = True
                     break
             except OSError:
                 time.sleep(0.2)
         check(ready, "CLI pool server came up and reported ready")
+        metrics = json.loads(http_get(port, "/metrics")[1])
+        pids = [r["pid"] for r in metrics["pool"]["per_replica"]]
 
         rng = np.random.default_rng(2)
         statuses = []
@@ -225,9 +254,14 @@ def phase_sigterm():
         process.send_signal(signal.SIGTERM)
         for thread in threads:
             thread.join(60.0)
-        returncode = process.wait(timeout=60.0)
+        _, stderr = process.communicate(timeout=60.0)
+        returncode = process.returncode
 
         check(returncode == 0, f"SIGTERM drain exited 0 (got {returncode})")
+        if b"Traceback" in stderr:
+            print(stderr.decode(errors="replace"), file=sys.stderr)
+        check(b"Traceback" not in stderr, "no traceback on the server's stderr")
+        check(len(statuses) == 20, f"all 20 clients saw an outcome ({len(statuses)})")
         check(statuses.count(200) >= 1, "in-flight work completed during drain")
         bad = [s for s in statuses if s not in (200, 503, 0)]
         check(not bad, f"every response during drain was definite (bad: {bad})")
@@ -235,11 +269,7 @@ def phase_sigterm():
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10.0)
-    leftovers = sorted(set(list_segments(SEGMENT_PREFIX)) - segments_before)
-    check(
-        not leftovers,
-        f"no repro-pool segments left in /dev/shm (leaked: {leftovers})",
-    )
+    check_replicas_gone(pids)
 
 
 def main():

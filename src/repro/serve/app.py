@@ -177,7 +177,7 @@ class InferenceServer:
             engine.load_plans(missing_ok=True)
         engine.bind(model)
         if cfg.serve_workers > 1:
-            # Process-parallel replicas over shared-memory transport.
+            # Process-parallel replicas fed over multiprocessing queues.
             self.worker = EngineWorkerPool(
                 engine,
                 replicas=cfg.serve_workers,

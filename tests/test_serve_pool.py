@@ -1,11 +1,11 @@
-"""Process-parallel pool: bit-identity, failure recovery, shm lifecycle.
+"""Process-parallel pool: bit-identity, failure recovery, shutdown.
 
 Covers the pool-specific serving guarantees the single-worker suite
 cannot: replica responses are bit-identical to an in-process engine run
-(shared-memory framing is lossless and fork inherits the same plans),
-a replica's death or hang re-queues work onto survivors while the pool
-keeps answering, slabs are recycled — not leaked — across replica
-restarts, and drain destroys every ``/dev/shm`` segment.  Also pins the
+(pickling is lossless and fork inherits the same plans), a replica's
+death or hang re-queues work onto survivors while the pool keeps
+answering, a replica rebuilt under a live server holds none of its
+client connections, and shutdown closes the pool.  Also pins the
 queue-proportional 429 ``Retry-After`` estimate the pool's ``capacity``
 feeds into.
 """
@@ -14,6 +14,10 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -26,26 +30,23 @@ from repro.serve import (
     DegradePolicy,
     EngineWorkerPool,
     MicroBatcher,
+    ServeConfig,
+    ServerHandle,
     ServiceEstimator,
     ServingMetrics,
     ShedError,
     build_demo_network,
-    list_segments,
     pool_start_method,
 )
 from repro.snn.engines import make_engine
 from repro.snn.engines.service import WorkerTimeout
 
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory not available"
-)
-
 SHAPE = (2, 4, 4)
 CLASSES = 5
 
 
-def tiny_model(seed=0):
-    model, _ = build_demo_network(input_shape=SHAPE, classes=CLASSES, seed=seed)
+def tiny_model(seed=0, shape=SHAPE):
+    model, _ = build_demo_network(input_shape=shape, classes=CLASSES, seed=seed)
     return model
 
 
@@ -91,12 +92,14 @@ def stall(tmp_path):
     FileStallLayer.stall_file = ""
 
 
-def make_pool(replicas=2, model=None, serve_timesteps=4, max_batch_size=4):
+def make_pool(
+    replicas=2, model=None, serve_timesteps=4, max_batch_size=4, shape=SHAPE
+):
     engine = make_engine("dense").bind(model if model is not None else tiny_model())
     return EngineWorkerPool(
         engine,
         replicas=replicas,
-        probe_shape=SHAPE,
+        probe_shape=shape,
         serve_timesteps=serve_timesteps,
         max_batch_size=max_batch_size,
         spawn_spec="dense",
@@ -107,13 +110,19 @@ def make_pool(replicas=2, model=None, serve_timesteps=4, max_batch_size=4):
 # Correctness: the pool is invisible in the numbers
 # ----------------------------------------------------------------------
 class TestPoolBitIdentity:
-    def test_pool_results_bit_identical_to_inprocess_run(self):
-        model = tiny_model()
-        pool = make_pool(replicas=2, model=model)
+    @pytest.mark.parametrize(
+        "batch, shape",
+        # The second batch (786 KB) is larger than a pipe's buffer.
+        [(3, SHAPE), (64, (3, 32, 32))],
+        ids=["3x2x4x4", "64x3x32x32"],
+    )
+    def test_pool_results_bit_identical_to_inprocess_run(self, batch, shape):
+        model = tiny_model(shape=shape)
+        pool = make_pool(replicas=2, model=model, shape=shape)
         try:
-            control_engine = make_engine("dense").bind(tiny_model())
+            control_engine = make_engine("dense").bind(tiny_model(shape=shape))
             rng = np.random.default_rng(11)
-            x = rng.normal(size=(3,) + SHAPE).astype(np.float32)
+            x = rng.normal(size=(batch,) + shape).astype(np.float32)
             control = control_engine.run(x, 4, per_step=True)
 
             run = pool.submit(x, 4, per_step=True).result(timeout=60)
@@ -177,8 +186,7 @@ class TestPoolFailureRecovery:
     def test_late_answer_from_superseded_attempt_is_dropped(self, stall):
         """A replica that answered just before dying must not have its
         late message taken for the re-queued attempt's answer — the
-        slabs still belong to the survivor's in-flight run, so an early
-        release would recycle segments under it."""
+        dispatch still belongs to the survivor's in-flight run."""
         pool = make_pool(replicas=2, model=nn.Sequential(FileStallLayer(), tiny_model()))
         try:
             stall.arm(2.0)
@@ -195,17 +203,14 @@ class TestPoolFailureRecovery:
                 stale = {
                     "req": dispatch.rid,
                     "replica": victim.index,
-                    "generation": dispatch.generation,
                     "attempt": 1,
                     "ok": True,
                     "stats": {},
                 }
             pool._handle_response(stale)
             assert not future.done()  # the stale answer resolved nothing
-            assert pool.ring.bytes_in_flight() > 0  # ...and freed no slab
             run = future.result(timeout=60)  # the live attempt answers
             assert run.logits.shape == (2, CLASSES)
-            assert pool.ring.bytes_in_flight() == 0
         finally:
             stall.disarm()
             pool.shutdown()
@@ -231,68 +236,74 @@ class TestPoolFailureRecovery:
             pool.shutdown()
 
 
-# ----------------------------------------------------------------------
-# Shared-memory lifecycle through the pool (satellite: shm coverage)
-# ----------------------------------------------------------------------
-class TestPoolShmLifecycle:
-    def test_slabs_recycle_across_replica_restart_without_leaking(self, stall):
-        pool = make_pool(replicas=2, model=nn.Sequential(FileStallLayer(), tiny_model()))
-        try:
-            x = np.ones((2,) + SHAPE, dtype=np.float32)
-            for _ in range(4):
-                pool.submit(x, 4).result(timeout=60)
-            segments_before = list_segments(pool.ring.prefix)
-            assert segments_before  # the ring minted working slabs
+    def test_process_exits_after_a_replica_dies_with_a_batch_queued(
+        self, tmp_path
+    ):
+        """A batch larger than a pipe's buffer, queued behind a running
+        one when the replica dies, leaves that queue's feeder thread
+        blocked for good; the parent must still exit rather than join
+        it."""
+        script = textwrap.dedent(
+            """
+            import os, signal, sys, time
+            import numpy as np
+            from repro import nn
+            from repro.serve import EngineWorkerPool, build_demo_network
+            from repro.snn.engines import make_engine
 
-            stall.arm(1.0)  # still mid-run when the SIGKILL lands
-            future = pool.submit(x, 4)
-            victim = next(r for r in pool._replicas if r.outstanding)
-            os.kill(victim.process.pid, signal.SIGKILL)
-            future.result(timeout=60)
-            stall.disarm()
+            STALL = sys.argv[1]
 
-            for _ in range(4):
-                pool.submit(x, 4).result(timeout=60)
-            # Same segments, reused — a restart must not strand or mint.
-            assert list_segments(pool.ring.prefix) == segments_before
-            assert pool.ring.bytes_in_flight() == 0
-        finally:
+            class Stall(nn.Module):
+                def forward(self, x):
+                    if os.path.exists(STALL):
+                        time.sleep(0.5)
+                    return x
+
+            core, shape = build_demo_network(input_shape=(3, 32, 32), classes=5)
+            engine = make_engine("dense").bind(nn.Sequential(Stall(), core))
+            pool = EngineWorkerPool(
+                engine, replicas=1, probe_shape=shape, serve_timesteps=2,
+                max_batch_size=1, spawn_spec="dense",
+            )
+            open(STALL, "w").close()
+            x = np.zeros((64,) + shape, dtype=np.float32)  # 786 KB
+            running, queued = pool.submit(x, 2), pool.submit(x, 2)
+            time.sleep(0.3)
+            os.kill(pool._replicas[0].pid, signal.SIGKILL)
+            os.remove(STALL)
+            running.result(60)
+            queued.result(60)
             pool.shutdown()
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "stall")],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env,
+            capture_output=True,
+            timeout=90,
+        )
+        assert result.returncode == 0, result.stderr.decode()
 
-    def test_shutdown_unlinks_every_segment_and_closes_the_pool(self):
+
+# ----------------------------------------------------------------------
+# Shutdown
+# ----------------------------------------------------------------------
+class TestPoolShutdown:
+    def test_shutdown_stops_every_replica_and_closes_the_pool(self):
         pool = make_pool(replicas=2)
-        prefix = pool.ring.prefix
         x = np.ones((2,) + SHAPE, dtype=np.float32)
         pool.submit(x, 4).result(timeout=60)
-        assert list_segments(prefix)
+        processes = [r.process for r in pool._replicas]
         pool.shutdown()
-        assert list_segments(prefix) == []
+        assert not any(p.is_alive() for p in processes)
         pool.shutdown()  # idempotent
         with pytest.raises(RuntimeError):
             pool.submit(x, 4)
-
-    def test_stale_generation_never_served(self):
-        """A response frame carrying the wrong generation is rejected,
-        not returned as data (simulates a straggler's late write)."""
-        pool = make_pool(replicas=1)
-        try:
-            x = np.ones((1,) + SHAPE, dtype=np.float32)
-            run = pool.submit(x, 2, per_step=True).result(timeout=60)
-            assert len(run.per_step) == 2
-            # Corrupt the next dispatch's view of generations: write a
-            # frame with an old tag into the output slab path by asking
-            # _collect_result to read under a mismatched expectation.
-            from repro.serve.shm import StaleSlabError
-
-            with pool._lock:
-                slab = pool.ring.acquire(64)
-            slab.write(np.zeros(4, dtype=np.float32), generation=1)
-            with pytest.raises(StaleSlabError):
-                slab.read(expected_generation=999)
-            with pool._lock:
-                pool.ring.release(slab)
-        finally:
-            pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -356,3 +367,69 @@ class TestRetryAfterScalesWithLoad:
         solo = retry_after_when_full(depth=16, capacity=1)
         pooled = retry_after_when_full(depth=16, capacity=4)
         assert pooled < solo
+
+
+# ----------------------------------------------------------------------
+# A rebuilt replica must not hold the server's sockets
+# ----------------------------------------------------------------------
+def _read_response(conn):
+    """One HTTP response off a keep-alive connection, by Content-Length."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        chunk = conn.recv(65536)
+        assert chunk, "connection closed before the response head"
+        raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        body += conn.recv(65536)
+    return head
+
+
+class TestRebuiltReplicaInheritsNoSockets:
+    def test_close_reaches_the_client_after_a_replica_rebuild(self):
+        """A replica forked while the server is live inherits its open
+        client connections; unless it drops them, closing a
+        ``Connection: close`` response sends no FIN and a client that
+        reads to EOF hangs."""
+        core, shape = build_demo_network(input_shape=SHAPE, classes=CLASSES)
+        handle = ServerHandle(
+            core, shape,
+            ServeConfig(port=0, engine="dense", timesteps=4, serve_workers=2),
+        )
+        pool = handle.server.worker
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=5.0
+            ) as conn:
+                # A keep-alive round trip: the server has accepted the
+                # connection before the replacement replica forks.
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert b" 200 " in _read_response(conn)
+
+                os.kill(pool._replicas[0].pid, signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline and not (
+                    pool.restarts == 1 and all(r.alive() for r in pool._replicas)
+                ):
+                    time.sleep(0.05)
+                assert pool.restarts == 1
+                assert all(r.alive() for r in pool._replicas)
+
+                conn.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                raw = b""
+                while True:  # EOF within the 5 s socket timeout
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    raw += chunk
+                assert b" 200 " in raw
+        finally:
+            handle.stop(timeout=60.0)
