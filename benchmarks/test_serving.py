@@ -9,9 +9,10 @@ robustness gauntlet and emits ``BENCH_serving.json``:
    engine (same plan cache, same kernels), which pins down that the
    serving path adds *no* numerical drift.
 2. **Concurrent micro-batched load** — the same requests fired from
-   many client threads; the deadline-aware coalescer amortises per-run
-   overhead across the batch, and the ratio of the two phases'
-   request rates is the tracked ``batching_throughput_gain``.
+   many client threads; requests that queue while the engine is busy
+   ride its next batch, which amortises per-run overhead, and the
+   ratio of the two phases' request rates is the tracked
+   ``batching_throughput_gain``.
 3. **2x overload with mixed deadlines** — more concurrent work than
    the bounded queue admits, some of it with unmeetable budgets:
    every response must be a definite 200/429/504, never a hang and
@@ -89,7 +90,6 @@ def build_server():
         timesteps=TIMESTEPS,
         max_batch_size=8,
         max_queue_depth=8,
-        gather_window_seconds=5e-3,
         hang_timeout_seconds=0.5,
         breaker_failure_threshold=2,
         breaker_reset_seconds=0.3,
@@ -279,7 +279,6 @@ def _pool_server(serve_workers, plan_path):
         timesteps=TIMESTEPS,
         max_batch_size=8,
         max_queue_depth=64,
-        gather_window_seconds=5e-3,
         hang_timeout_seconds=30.0,
         drain_timeout_seconds=30.0,
         serve_workers=serve_workers,

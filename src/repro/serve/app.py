@@ -66,7 +66,7 @@ from repro.serve.middleware import (
 from repro.serve.pool import EngineWorkerPool
 from repro.snn import convert_to_snn
 from repro.snn.engines import make_engine
-from repro.snn.engines.service import EngineWorker
+from repro.snn.engines.service import EngineWorker, warm_batch_plans
 from repro.snn.engines.sharding import ShardPolicy
 from repro.tensor import Tensor, no_grad
 
@@ -108,7 +108,6 @@ class ServeConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     max_body_bytes: int = 8 * 1024 * 1024
-    gather_window_seconds: float = 2e-3
     hang_timeout_seconds: float = 30.0
     breaker_failure_threshold: int = 3
     breaker_reset_seconds: float = 2.0
@@ -185,6 +184,7 @@ class InferenceServer:
                 workers=cfg.workers,
                 shard_mode=cfg.shard_mode,
                 probe_shape=self.input_shape,
+                probe_timesteps=cfg.timesteps,
                 serve_timesteps=cfg.timesteps,
                 max_batch_size=cfg.max_batch_size,
                 breaker_failure_threshold=cfg.breaker_failure_threshold,
@@ -195,12 +195,18 @@ class InferenceServer:
             self.metrics.set_section("pool", self.worker.snapshot)
         else:
             # serve_workers == 1 keeps today's in-process worker exactly.
+            warm_batch_plans(
+                engine, self.input_shape, cfg.timesteps, cfg.max_batch_size,
+                workers=cfg.workers, shard_mode=cfg.shard_mode,
+                shard_policy=policy,
+            )
             self.worker = EngineWorker(
                 engine,
                 policy=policy,
                 workers=cfg.workers,
                 shard_mode=cfg.shard_mode,
                 probe_shape=self.input_shape,
+                probe_timesteps=cfg.timesteps,
             )
         self.breaker = CircuitBreaker(
             failure_threshold=cfg.breaker_failure_threshold,
@@ -223,7 +229,6 @@ class InferenceServer:
                 max_batch_size=cfg.max_batch_size,
                 max_queue_depth=cfg.max_queue_depth,
                 max_inflight_bytes=cfg.max_inflight_bytes,
-                gather_window_seconds=cfg.gather_window_seconds,
                 hang_timeout_seconds=cfg.hang_timeout_seconds,
             ),
             estimator=ServiceEstimator(

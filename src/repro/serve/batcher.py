@@ -16,11 +16,11 @@ Robustness decisions all happen here, at well-defined points:
   *or* by queued payload bytes — sheds load (429 + ``Retry-After``);
   a deadline that the current backlog provably cannot meet is rejected
   up front (504) rather than wasting a queue slot on a doomed request.
-* **The gather window** is computed from deadlines, not a fixed timer:
-  the batch dispatches at the *latest start time* that still meets its
-  most urgent member's budget, given the estimated service time for
-  the batch that would result.  Idle servers dispatch singles almost
-  immediately; loaded servers coalesce aggressively.
+* **Work-conserving dispatch**: the loop never waits on a timer.  As
+  soon as the worker has a free slot it sends whatever is queued, so a
+  request on an idle server runs at once, alone; requests that arrive
+  while a batch runs coalesce into the next one.  Batch size follows
+  the load, not a gather window.
 * **Culling**: disconnected and deadline-expired entries are dropped
   *before* dispatch so the engine never spends cycles on an answer
   nobody is waiting for.
@@ -71,9 +71,9 @@ class ServiceEstimator:
 
     ``unit`` is seconds per sample-timestep, learned from every
     completed batch; ``overhead`` is the fixed per-dispatch cost.  The
-    estimate feeds two decisions — admission feasibility and the gather
-    window — both of which apply their own safety factor, so the model
-    only needs to be roughly right and quick to adapt.
+    estimate feeds admission feasibility (with a safety factor), the
+    pre-dispatch deadline cull and the 429 ``Retry-After``, so the
+    model only needs to be roughly right and quick to adapt.
     """
 
     def __init__(
@@ -197,7 +197,6 @@ class BatcherConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     safety_factor: float = 2.0          # estimate multiplier for feasibility
-    gather_window_seconds: float = 2e-3  # max extra wait to coalesce
     hang_timeout_seconds: float = 30.0   # worker-level wedge deadline
     idle_tick_seconds: float = 0.05      # queue poll cadence when idle
 
@@ -230,10 +229,9 @@ class MicroBatcher:
         self._closed = False
         self._wake = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
-        # Concurrent dispatches, when the worker is a pool.  A plain
-        # EngineWorker has capacity 1 and keeps today's single
-        # outstanding batch; an EngineWorkerPool advertises capacity N
-        # and the loop keeps up to N batches in flight at once.
+        # In-flight dispatches, at most one per worker slot: a plain
+        # EngineWorker has capacity 1, an EngineWorkerPool advertises
+        # capacity N.
         self._dispatch_tasks: set = set()
 
     @property
@@ -448,41 +446,30 @@ class MicroBatcher:
                 else:
                     await asyncio.sleep(cfg.idle_tick_seconds)
                 continue
-            if mode == "probe" and self._dispatch_tasks:
+            if mode == "probe":
                 # A half-open probe must be the only thing in flight so
                 # its verdict is the substrate's, not a stale batch's.
+                if self._dispatch_tasks:
+                    await asyncio.wait(list(self._dispatch_tasks))
+                members = self._gather(1)
+                if members:
+                    await self._dispatch_and_observe(members, probe=True)
+                continue
+            if len(self._dispatch_tasks) >= self.capacity:
+                # Every slot has a batch: what queues meanwhile rides
+                # the next one, sent as soon as a slot frees up.
                 await asyncio.wait(
                     list(self._dispatch_tasks),
-                    return_when=asyncio.ALL_COMPLETED,
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
-            capacity = self.capacity
-            if mode != "probe" and capacity > 1:
-                if len(self._dispatch_tasks) >= capacity:
-                    # Every replica has a batch; resume gathering as
-                    # soon as one frees up.
-                    await asyncio.wait(
-                        list(self._dispatch_tasks),
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    continue
-                members = self._gather(cfg.max_batch_size)
-                if not members:
-                    continue
-                members = await self._hold_gather_window(members)
-                if members:
-                    task = asyncio.get_running_loop().create_task(
-                        self._dispatch_and_observe(members, probe=False)
-                    )
-                    self._dispatch_tasks.add(task)
-                    task.add_done_callback(self._dispatch_tasks.discard)
                 continue
-            members = self._gather(1 if mode == "probe" else cfg.max_batch_size)
-            if not members:
-                continue
-            if mode != "probe":
-                members = await self._hold_gather_window(members)
+            members = self._gather(cfg.max_batch_size)
             if members:
-                await self._dispatch_and_observe(members, probe=(mode == "probe"))
+                task = asyncio.get_running_loop().create_task(
+                    self._dispatch_and_observe(members, probe=False)
+                )
+                self._dispatch_tasks.add(task)
+                task.add_done_callback(self._dispatch_tasks.discard)
 
     async def _dispatch_and_observe(
         self, members: List[InferenceRequest], probe: bool
@@ -501,31 +488,6 @@ class MicroBatcher:
         self.metrics.set_gauge("queue_depth", len(self._queue))
         self.metrics.set_gauge("queued_bytes", self._queued_bytes)
         return members
-
-    async def _hold_gather_window(
-        self, members: List[InferenceRequest]
-    ) -> List[InferenceRequest]:
-        """Wait — bounded by the most urgent deadline — for co-riders.
-
-        The latest admissible start time is ``earliest deadline - safety
-        * estimated service``; if that leaves slack and the batch is not
-        full, hold briefly so concurrent arrivals coalesce instead of
-        paying one engine dispatch each.
-        """
-        cfg = self.config
-        if len(members) >= cfg.max_batch_size or cfg.gather_window_seconds <= 0:
-            return members
-        t_exec = max(min(e.timesteps, self.degrade.current) for e in members)
-        service = self.estimator.estimate(
-            len(members) + 1, t_exec
-        ) * cfg.safety_factor
-        earliest = min(e.deadline for e in members)
-        slack = earliest - self._clock() - service
-        hold = min(slack, cfg.gather_window_seconds)
-        if hold > 1e-4:
-            await asyncio.sleep(hold)
-            members.extend(self._gather(cfg.max_batch_size - len(members)))
-        return [e for e in members if e.alive()]
 
     async def _dispatch(
         self, members: List[InferenceRequest], probe: bool = False

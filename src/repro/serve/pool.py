@@ -16,7 +16,7 @@ owns no OS resource beyond its processes and pipes.
 
 Replication strategy:
 
-* **fork** (Linux/macOS): replicas are forked *after* the parent probes
+* **fork** (Linux/macOS): replicas are forked *after* the parent warms
   the engine, so model weights and compiled execution plans are
   inherited copy-on-write — zero weight copies, and every
   replica starts from the identical plan cache (which is what keeps
@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serve.breaker import CircuitBreaker
-from repro.snn.engines.service import ProbeResult, WorkerTimeout
+from repro.snn.engines.service import ProbeResult, WorkerTimeout, warm_batch_plans
 
 logger = logging.getLogger(__name__)
 
@@ -232,9 +232,9 @@ class EngineWorkerPool:
     """N process-backed engine replicas behind the worker interface.
 
     Parameters mirror :class:`EngineWorker` where they overlap; the
-    engine must already be bound.  The parent runs warm-up probes
-    through its own engine *before* starting replicas so fork children
-    inherit compiled plans.
+    engine must already be bound.  The parent warms its own engine on
+    every batch size (:func:`warm_batch_plans`) *before* starting
+    replicas so fork children inherit compiled plans.
     """
 
     def __init__(
@@ -282,16 +282,13 @@ class EngineWorkerPool:
         self._rid_counter = 0
         self._dispatches: Dict[int, _Dispatch] = {}
 
-        # Warm the parent engine before forking: compiles plans for the
-        # single-sample and full-batch keys, inherited by replicas.
-        probe = np.zeros((1,) + self.probe_shape, dtype=np.float32)
-        serve_t = int(serve_timesteps or self.probe_timesteps)
-        self._engine.run(probe, serve_t, per_step=True)
-        if self.max_batch_size > 1:
-            batch = np.zeros(
-                (self.max_batch_size,) + self.probe_shape, dtype=np.float32
-            )
-            self._engine.run(batch, serve_t, per_step=True)
+        # Warm the parent engine before forking: replicas inherit the
+        # compiled plan of every batch size the batcher can send.
+        warm_batch_plans(
+            self._engine, self.probe_shape,
+            serve_timesteps or self.probe_timesteps, self.max_batch_size,
+            workers=self.workers, shard_mode=shard_mode, shard_policy=policy,
+        )
 
         self._context = multiprocessing.get_context(self.start_method)
         self._response_queue = self._context.Queue()
@@ -633,7 +630,7 @@ class EngineWorkerPool:
 
     def health_probe(self, timeout: Optional[float] = 5.0) -> ProbeResult:
         """One canary batch through the pool's normal scheduling path."""
-        canary = np.zeros((1,) + self.probe_shape, dtype=np.float32)
+        canary = np.ones((1,) + self.probe_shape, dtype=np.float32)
         started = time.perf_counter()
         try:
             future = self.submit(canary, self.probe_timesteps)

@@ -46,6 +46,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.snn.engines.auto import PLAN_CACHE_CAPACITY
 from repro.snn.engines.base import EngineRun, SimulationEngine
 from repro.snn.engines.sharding import ShardPolicy, clone_for_inference
 
@@ -57,6 +58,31 @@ _WORKER_IDS = itertools.count(1)
 class WorkerTimeout(RuntimeError):
     """A submitted run outlived its wall-clock budget; the worker's
     execution slot was abandoned and rebuilt on a model clone."""
+
+
+def warm_batch_plans(
+    engine: SimulationEngine,
+    sample_shape: Sequence[int],
+    timesteps: int,
+    max_batch_size: int,
+    **run_options,
+) -> None:
+    """Run ``engine`` once per batch size ``1..max_batch_size`` at T.
+
+    Keeps an adaptive engine's plan races out of steady full-T
+    traffic.  The probe is all ones: plan keys carry the input's
+    density bucket, and direct-coded frames land in the densest one.
+    Sizes stop at ``PLAN_CACHE_CAPACITY``, so the warmed keys can fill
+    the LRU plan cache: any other key (a degraded or per-request T, a
+    sparser input, a plan loaded for another shape) evicts the least
+    recently used warmed size, which then races again when it recurs.
+    """
+    probe = np.ones((1,) + tuple(int(s) for s in sample_shape), dtype=np.float32)
+    for size in range(1, min(int(max_batch_size), PLAN_CACHE_CAPACITY) + 1):
+        engine.run(
+            np.repeat(probe, size, axis=0), int(timesteps), per_step=True,
+            **run_options,
+        )
 
 
 @dataclass(frozen=True)
@@ -86,8 +112,9 @@ class EngineWorker:
         Single-sample input shape ``(C, H, W)`` for health-probe
         canaries; defaults to the shape of the first submitted batch.
     probe_timesteps:
-        T for canary runs (small on purpose: a probe asserts liveness,
-        not accuracy).
+        T for canary runs.  A probe asserts liveness, not accuracy; the
+        server passes its serving T so the all-ones canary replays a
+        plan :func:`warm_batch_plans` compiled instead of racing a key.
     """
 
     def __init__(
@@ -233,7 +260,7 @@ class EngineWorker:
                 ok=False, latency_seconds=0.0,
                 error="no probe shape known yet (no batch seen, none configured)",
             )
-        canary = np.zeros((1,) + self.probe_shape, dtype=np.float32)
+        canary = np.ones((1,) + self.probe_shape, dtype=np.float32)
         started = time.perf_counter()
         future = self.submit(canary, self.probe_timesteps)
         try:

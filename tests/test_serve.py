@@ -298,7 +298,7 @@ class StubWorker:
         return StubRun(x.shape[0], timesteps)
 
 
-def make_batcher(worker, *, threshold=3, reset=0.2, queue=8, gather=0.05,
+def make_batcher(worker, *, threshold=3, reset=0.2, queue=8,
                  degrade_budget=None, estimator=None, max_batch=8):
     metrics = ServingMetrics()
     breaker = CircuitBreaker(failure_threshold=threshold, reset_timeout=reset)
@@ -313,7 +313,6 @@ def make_batcher(worker, *, threshold=3, reset=0.2, queue=8, gather=0.05,
         config=BatcherConfig(
             max_batch_size=max_batch,
             max_queue_depth=queue,
-            gather_window_seconds=gather,
             hang_timeout_seconds=5.0,
             idle_tick_seconds=0.01,
         ),
@@ -330,7 +329,7 @@ class TestMicroBatcher:
     def test_coalesces_concurrent_requests_into_one_dispatch(self):
         async def scenario():
             worker = StubWorker(delay=0.01)
-            batcher, _, _ = make_batcher(worker, gather=0.08)
+            batcher, _, _ = make_batcher(worker)
             batcher.start()
             futures = [
                 batcher.submit(sample(), timesteps=4, deadline_ms=2000.0)
@@ -346,6 +345,53 @@ class TestMicroBatcher:
         assert max(n for n, _ in calls) >= 3  # coalesced, not serial singles
         sizes = {r["batch_size"] for r in results}
         assert max(sizes) >= 3
+
+    def test_lone_request_dispatches_without_sleeping(self, monkeypatch):
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.batcher.asyncio.sleep", recording_sleep)
+
+        class SleepCheckingWorker(StubWorker):
+            async def run_async(self, x, timesteps, per_step=False, timeout=None):
+                self.sleeps_before = list(sleeps)
+                return await super().run_async(x, timesteps, per_step, timeout)
+
+        async def scenario():
+            worker = SleepCheckingWorker()
+            batcher, _, _ = make_batcher(worker)
+            batcher.start()
+            result = await batcher.submit(sample(), timesteps=4, deadline_ms=2000.0)
+            await batcher.close()
+            return worker, result
+
+        worker, result = asyncio.run(scenario())
+        assert worker.calls == [(1, 4)]
+        assert worker.sleeps_before == []  # no gather hold before dispatch
+        assert result["batch_size"] == 1
+
+    def test_requests_arriving_mid_batch_ride_the_next_dispatch(self):
+        async def scenario():
+            worker = StubWorker(delay=0.05)
+            batcher, _, _ = make_batcher(worker)
+            batcher.start()
+            first = batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
+            await asyncio.sleep(0.01)  # the first batch is running now
+            later = [
+                batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
+                for _ in range(3)
+            ]
+            results = await asyncio.gather(first, *later)
+            await batcher.close()
+            return worker.calls, results
+
+        calls, results = asyncio.run(scenario())
+        assert calls == [(1, 4), (3, 4)]
+        assert [r["batch_size"] for r in results] == [1, 3, 3, 3]
 
     def test_unmeetable_deadline_rejected_at_admission(self):
         async def scenario():
@@ -364,9 +410,7 @@ class TestMicroBatcher:
     def test_bounded_queue_sheds_with_retry_after(self):
         async def scenario():
             worker = StubWorker(delay=0.2)
-            batcher, _, metrics = make_batcher(
-                worker, queue=2, gather=0.0, max_batch=1
-            )
+            batcher, _, metrics = make_batcher(worker, queue=2, max_batch=1)
             batcher.start()
             futures = [batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)]
             await asyncio.sleep(0.05)  # first entry reaches the engine
@@ -389,7 +433,7 @@ class TestMicroBatcher:
         async def scenario():
             worker = StubWorker(fail_times=2)
             batcher, breaker, metrics = make_batcher(
-                worker, threshold=2, reset=0.05, gather=0.0, max_batch=1
+                worker, threshold=2, reset=0.05, max_batch=1
             )
             batcher.start()
             futures = [
@@ -422,7 +466,7 @@ class TestMicroBatcher:
     def test_drain_completes_inflight_then_refuses_admission(self):
         async def scenario():
             worker = StubWorker(delay=0.05)
-            batcher, _, _ = make_batcher(worker, gather=0.0)
+            batcher, _, _ = make_batcher(worker)
             batcher.start()
             futures = [
                 batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
@@ -442,7 +486,7 @@ class TestMicroBatcher:
     def test_expired_entry_dropped_before_dispatch(self):
         async def scenario():
             worker = StubWorker(delay=0.15)
-            batcher, _, metrics = make_batcher(worker, gather=0.0, max_batch=1)
+            batcher, _, metrics = make_batcher(worker, max_batch=1)
             batcher.start()
             blocker = batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
             await asyncio.sleep(0.01)
@@ -477,7 +521,7 @@ class TestDegradedPrefixConsistency:
         x = rng.normal(size=(1,) + shape).astype(np.float32)
 
         async def scenario():
-            batcher, _, _ = make_batcher(worker, gather=0.0)
+            batcher, _, _ = make_batcher(worker)
             batcher.degrade.current = 2  # force degradation
             batcher.start()
             result = await batcher.submit(x, timesteps=4, deadline_ms=30_000.0)
@@ -570,7 +614,6 @@ def serve_config(**overrides):
         port=0,
         timesteps=4,
         engine="dense",
-        gather_window_seconds=0.0,
         hang_timeout_seconds=20.0,
         drain_timeout_seconds=10.0,
         estimator_initial_unit=1e-4,
@@ -578,6 +621,26 @@ def serve_config(**overrides):
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+class TestStartUpWarmUp:
+    def test_auto_server_races_no_batch_size_or_probe_after_start_up(self):
+        server = InferenceServer(
+            tiny_network(shape=SHAPE), SHAPE, serve_config(engine="auto")
+        )
+        cfg = server.config
+        try:
+            warmed = server.worker.planner_snapshot()["calibration_runs"]
+            rng = np.random.default_rng(5)
+            for size in range(1, cfg.max_batch_size + 1):
+                x = rng.normal(size=(size,) + SHAPE).astype(np.float32)
+                server.worker.submit(x, cfg.timesteps, per_step=True).result(60.0)
+            assert server.worker.health_probe(timeout=60.0).ok
+            after = server.worker.planner_snapshot()["calibration_runs"]
+        finally:
+            server.worker.shutdown()
+        assert warmed == cfg.max_batch_size
+        assert after == warmed
 
 
 class TestHTTPServer:

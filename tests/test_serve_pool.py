@@ -38,7 +38,7 @@ from repro.serve import (
     build_demo_network,
     pool_start_method,
 )
-from repro.snn.engines import make_engine
+from repro.snn.engines import density_bucket, make_engine
 from repro.snn.engines.service import WorkerTimeout
 
 SHAPE = (2, 4, 4)
@@ -151,6 +151,26 @@ class TestPoolBitIdentity:
             assert all(r["depth"] == 0 for r in snap["per_replica"])
         finally:
             pool.shutdown()
+
+
+class TestPoolWarmUp:
+    def test_parent_warms_every_batch_size_in_the_frame_bucket(self):
+        engine = make_engine("auto").bind(tiny_model())
+        pool = EngineWorkerPool(
+            engine, replicas=1, probe_shape=SHAPE, serve_timesteps=4,
+            max_batch_size=4, spawn_spec="auto",
+        )
+        try:
+            plans = pool.planner_snapshot()["plans"]
+        finally:
+            pool.shutdown()
+        frame = np.random.default_rng(0).normal(size=SHAPE)
+        bucket = density_bucket(np.count_nonzero(frame) / frame.size)
+        warmed = sorted(
+            p["input_shape"][0] for p in plans
+            if p["density_bucket"] == bucket and p["timesteps"] == 4
+        )
+        assert warmed == [1, 2, 3, 4]
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +352,6 @@ def retry_after_when_full(depth, capacity):
             config=BatcherConfig(
                 max_batch_size=8,
                 max_queue_depth=depth,
-                gather_window_seconds=0.05,
                 hang_timeout_seconds=5.0,
                 idle_tick_seconds=0.01,
             ),
